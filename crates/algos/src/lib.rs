@@ -26,5 +26,5 @@ pub mod sort;
 pub mod transpose;
 
 pub use permute::{CgmPermute, PermuteState};
-pub use sort::{CgmSort, SortKey, SortMsg, SortState};
+pub use sort::{BlockDistributedSort, CgmSort, SortKey, SortMsg, SortState};
 pub use transpose::{CgmTranspose, TransposeState};

@@ -618,6 +618,11 @@ fn worker<P: CgmProgram>(
 
     let mut breakdown = IoBreakdown::default();
     let mut peak_mem = 0usize;
+    // Per-worker scratch buffers reused across supersteps (see
+    // SeqEmRunner::drive_inner): the context swap path, and the input
+    // distribution, stop allocating once they reach the largest context.
+    let mut ctx_buf: Vec<u8> = Vec::new();
+    let mut enc_buf: Vec<u8> = Vec::new();
 
     match init.restore {
         None => {
@@ -625,7 +630,8 @@ fn worker<P: CgmProgram>(
             let _g = span(init.start_round, Phase::Setup);
             if setup_err.is_none() {
                 for (k, state) in init.states.into_iter().enumerate() {
-                    if let Err(e) = ctx_store.write(&mut disks, k, &state.to_bytes()) {
+                    state.encode_to_vec(&mut enc_buf);
+                    if let Err(e) = ctx_store.write(&mut disks, k, &enc_buf) {
                         setup_err = Some(e);
                         break;
                     }
@@ -651,11 +657,6 @@ fn worker<P: CgmProgram>(
     }
 
     let mut halted = false;
-    // Per-worker scratch buffers reused across supersteps (see
-    // SeqEmRunner::drive_inner): the context swap path stops allocating
-    // once they reach the largest context size.
-    let mut ctx_buf: Vec<u8> = Vec::new();
-    let mut enc_buf: Vec<u8> = Vec::new();
     // Software pipeline window over the local vps (see SeqEmRunner and
     // the `pipeline` module). Depth 0 is the serial demand path.
     // Mutable: the per-worker feedback tuner may move it between rounds

@@ -314,13 +314,19 @@ impl SeqEmRunner {
         let mut peak_mem = 0usize;
         let mut max_ctx = 0usize;
         let mut start_round = 0usize;
+        // Scratch buffers reused across all virtual processors and
+        // supersteps: once grown to the largest context, the swap path
+        // (and the input distribution) stops allocating.
+        let mut ctx_buf: Vec<u8> = Vec::new();
+        let mut enc_buf: Vec<u8> = Vec::new();
 
         match start {
             Start::Fresh(states) => {
                 // Input distribution: write initial contexts.
                 let _g = span(0, Phase::Setup);
                 for (pid, state) in states.into_iter().enumerate() {
-                    ctx_store.write(&mut disks, pid, &state.to_bytes())?;
+                    state.encode_to_vec(&mut enc_buf);
+                    ctx_store.write(&mut disks, pid, &enc_buf)?;
                 }
                 breakdown.setup_ops = disks.stats().total_ops();
             }
@@ -343,11 +349,6 @@ impl SeqEmRunner {
         }
 
         let t0 = Instant::now();
-        // Scratch buffers reused across all virtual processors and
-        // supersteps: once grown to the largest context, the swap path
-        // stops allocating.
-        let mut ctx_buf: Vec<u8> = Vec::new();
-        let mut enc_buf: Vec<u8> = Vec::new();
         // Software pipeline: step (a)+(b) reads for up to `depth` vps
         // ahead of the one computing. Depth 0 is the serial demand path.
         // Mutable: the feedback tuner may move it between rounds, where

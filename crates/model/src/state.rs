@@ -32,9 +32,7 @@ impl Encoder {
         self.u64(xs.len() as u64);
         let start = self.buf.len();
         self.buf.resize(start + xs.len() * T::SIZE, 0);
-        for (i, x) in xs.iter().enumerate() {
-            x.write_to(&mut self.buf[start + i * T::SIZE..start + (i + 1) * T::SIZE]);
-        }
+        T::encode_into(xs, &mut self.buf[start..]).expect("buffer sized for the slice");
         self
     }
 
@@ -175,6 +173,9 @@ pub trait ProcState: Sized {
     fn decode(dec: &mut Decoder<'_>) -> Self;
 
     /// Encoded size in bytes (the context size; max over procs = `μ`).
+    ///
+    /// The default encodes to find out; the built-in impls override it
+    /// with the arithmetic, since the dry run asks after every round.
     fn encoded_len(&self) -> usize {
         let mut e = Encoder::new();
         self.encode(&mut e);
@@ -228,6 +229,9 @@ impl<T: Item> ProcState for Vec<T> {
     fn decode(dec: &mut Decoder<'_>) -> Self {
         dec.items()
     }
+    fn encoded_len(&self) -> usize {
+        8 + self.len() * T::SIZE
+    }
 }
 
 impl ProcState for u64 {
@@ -236,6 +240,9 @@ impl ProcState for u64 {
     }
     fn decode(dec: &mut Decoder<'_>) -> Self {
         dec.u64()
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
 }
 
@@ -248,6 +255,9 @@ impl<A: ProcState, B: ProcState> ProcState for (A, B) {
         let a = A::decode(dec);
         let b = B::decode(dec);
         (a, b)
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
     }
 }
 
@@ -263,11 +273,36 @@ impl<A: ProcState, B: ProcState, C: ProcState> ProcState for (A, B, C) {
         let c = C::decode(dec);
         (a, b, c)
     }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The arithmetic `encoded_len` overrides agree with the encoder.
+        #[test]
+        fn encoded_len_matches_encoding(
+            x in any::<u64>(),
+            a in proptest::collection::vec(any::<u64>(), 0..40),
+            b in proptest::collection::vec(any::<u32>(), 0..40),
+            c in proptest::collection::vec(any::<i64>(), 0..40),
+        ) {
+            let c: Vec<(u16, i64)> = c.into_iter().map(|y| (y as u16, y)).collect();
+            prop_assert_eq!(x.encoded_len(), x.to_bytes().len());
+            prop_assert_eq!(a.encoded_len(), a.to_bytes().len());
+            let pair = (a.clone(), b.clone());
+            prop_assert_eq!(pair.encoded_len(), pair.to_bytes().len());
+            let triple = (x, b, c);
+            prop_assert_eq!(triple.encoded_len(), triple.to_bytes().len());
+            let nested = ((x, a), triple);
+            prop_assert_eq!(nested.encoded_len(), nested.to_bytes().len());
+        }
+    }
 
     #[test]
     fn vec_roundtrip() {

@@ -427,11 +427,14 @@ impl TrackStorage for MemStorage {
         Ok(tracks.get(&track).map(|t| t.to_vec()).unwrap_or_else(|| vec![0u8; self.block_bytes]))
     }
 
+    /// Overwrites a live track in place, zeroing only the tail past
+    /// `data`; only a first write allocates the block.
     fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> io::Result<()> {
         let mut tracks = self.disks[disk].lock().unwrap();
-        let mut block = vec![0u8; self.block_bytes].into_boxed_slice();
+        let block =
+            tracks.entry(track).or_insert_with(|| vec![0u8; self.block_bytes].into_boxed_slice());
         block[..data.len()].copy_from_slice(data);
-        tracks.insert(track, block);
+        block[data.len()..].fill(0);
         Ok(())
     }
 

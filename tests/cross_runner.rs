@@ -40,11 +40,9 @@ where
 fn sort_agrees_everywhere() {
     let keys = data::uniform_u64(3000, 1);
     let v = 6;
-    assert_all_runners_agree(
-        &CgmSort::<u64>::block_distributed(),
-        || data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect(),
-        "sort",
-    );
+    let mk = || data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect();
+    assert_all_runners_agree(&CgmSort::<u64>::by_pivots(), mk, "sort by pivots");
+    assert_all_runners_agree(&CgmSort::<u64>::block_distributed(), mk, "sort block-distributed");
 }
 
 #[test]
