@@ -51,7 +51,8 @@ pub struct EmRunReport {
     pub peak_mem_bytes: usize,
     /// Items that crossed a real-processor boundary (0 for Algorithm 2).
     pub cross_thread_items: u64,
-    /// Wall-clock time of the superstep loop.
+    /// Wall-clock time of the whole run: input distribution, superstep
+    /// loop and final readout.
     pub wall: Duration,
     /// Physical I/O event trace, when the run used a
     /// `BackendSpec::Concurrent` backend with `opts.trace` set (empty

@@ -94,6 +94,10 @@ impl ThreadedRunner {
         assert!(v > 0, "need at least one virtual processor");
         let p = self.p.clamp(1, v);
         let round_limit = self.round_limit;
+        // Like `DirectRunner`, execute at most `round_limit` rounds.
+        if round_limit == 0 {
+            return Err(ModelError::RoundLimit(0));
+        }
 
         // Data channels: data_tx[i][j] sends from thread i to thread j.
         let mut data_tx: Vec<Vec<Sender<Packet<P::Msg>>>> = (0..p).map(|_| Vec::new()).collect();
@@ -148,13 +152,13 @@ impl ThreadedRunner {
                 let my_ctrl = ctrl_tx.clone();
                 let my_dec = dec_rx[t].clone();
                 handles.push(scope.spawn(move || {
-                    worker::<P>(prog, t, v, p, block, my_tx, my_rx, my_ctrl, my_dec, round_limit)
+                    worker::<P>(prog, t, v, p, block, my_tx, my_rx, my_ctrl, my_dec)
                 }));
             }
             drop(ctrl_tx);
 
             // Coordinator loop.
-            for round in 0..=round_limit {
+            for round in 0..round_limit {
                 let mut ctl = RoundCtl {
                     n_done: 0,
                     n_procs: 0,
@@ -201,7 +205,7 @@ impl ThreadedRunner {
                     }
                 } else if ctl.n_done != 0 {
                     Decision::Fail(ModelError::StatusDisagreement { round })
-                } else if round == round_limit {
+                } else if round + 1 == round_limit {
                     Decision::Fail(ModelError::RoundLimit(round_limit))
                 } else {
                     Decision::Continue
@@ -257,7 +261,6 @@ fn worker<P: CgmProgram>(
     data_rx: Receiver<Packet<P::Msg>>,
     ctrl: Sender<(usize, RoundCtl)>,
     dec: Receiver<Decision>,
-    _round_limit: usize,
 ) -> Vec<P::State> {
     let my_range = block_range(v, p, t);
     let n_local = my_range.len();

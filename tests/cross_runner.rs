@@ -8,31 +8,42 @@ use cgmio_algos::graphs::{CgmConnectivity, CgmEulerTour, CgmListRank};
 use cgmio_algos::{CgmPermute, CgmSort, CgmTranspose};
 use cgmio_core::{measure_requirements, EmConfig, ParEmRunner, SeqEmRunner};
 use cgmio_data as data;
-use cgmio_model::{CgmProgram, DirectRunner, ThreadedRunner};
+use cgmio_model::demo::TokenRing;
+use cgmio_model::{CgmProgram, DirectRunner, ModelError, ThreadedRunner};
 
-/// Run `prog` on all four runners and demand identical final states.
+/// Run `prog` on all four runners and demand identical final states
+/// and identical per-round communication costs (`DirectRunner`'s
+/// definition: each round's `max_received` is the largest inbox that
+/// round *produced*).
 fn assert_all_runners_agree<P>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str)
 where
     P: CgmProgram,
     P::State: PartialEq + std::fmt::Debug + Clone,
 {
     let v = mk().len();
-    let (want, _) = DirectRunner::default().run(prog, mk()).unwrap();
+    let (want, want_costs) = DirectRunner::default().run(prog, mk()).unwrap();
 
-    let (threaded, _) = ThreadedRunner::new(3).run(prog, mk()).unwrap();
+    let (threaded, rep) = ThreadedRunner::new(3).run(prog, mk()).unwrap();
     assert_eq!(threaded, want, "{label}: threaded != direct");
+    assert_eq!(rep.costs.rounds, want_costs.rounds, "{label}: threaded round costs != direct");
 
     let (_, _, req) = measure_requirements(prog, mk()).unwrap();
     for d in [1usize, 3] {
         let cfg = EmConfig::from_requirements(v, 1, d, 512, &req);
         let (seq_em, rep) = SeqEmRunner::new(cfg).run(prog, mk()).unwrap();
         assert_eq!(seq_em, want, "{label}: seq EM (D={d}) != direct");
+        assert_eq!(rep.costs.rounds, want_costs.rounds, "{label}: seq EM (D={d}) round costs");
         assert!(rep.breakdown.algorithm_ops() > 0 || rep.costs.total_items() == 0);
 
-        let mut cfg = EmConfig::from_requirements(v, 1, d, 512, &req);
-        cfg.p = (v / 2).max(2).min(v);
-        let (par_em, _) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
-        assert_eq!(par_em, want, "{label}: par EM (D={d}) != direct");
+        for p in [1, (v / 2).max(2).min(v)] {
+            let cfg = EmConfig::from_requirements(v, p, d, 512, &req);
+            let (par_em, rep) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
+            assert_eq!(par_em, want, "{label}: par EM (D={d}, p={p}) != direct");
+            assert_eq!(
+                rep.costs.rounds, want_costs.rounds,
+                "{label}: par EM (D={d}, p={p}) round costs"
+            );
+        }
     }
 }
 
@@ -190,4 +201,35 @@ fn connectivity_agrees_everywhere() {
         },
         "connectivity",
     );
+}
+
+/// Every runner executes at most `round_limit` rounds, as
+/// `DirectRunner` does: TokenRing with 4 communication rounds needs 5
+/// round executions, so it fails at limit 4 and completes at limit 5.
+#[test]
+fn round_limit_agrees_everywhere() {
+    let v = 4;
+    let prog = TokenRing { rounds: 4 };
+    let init = || (0..v as u64).map(|i| vec![i]).collect::<Vec<_>>();
+    let (want, _) = DirectRunner::default().run(&prog, init()).unwrap();
+    let (_, _, req) = measure_requirements(&prog, init()).unwrap();
+    for limit in [4usize, 5] {
+        let expect = if limit == 4 { Err(ModelError::RoundLimit(4)) } else { Ok(want.clone()) };
+        let direct = DirectRunner { round_limit: limit }.run(&prog, init()).map(|(f, _)| f);
+        assert_eq!(direct, expect, "direct, limit {limit}");
+        let mut threaded = ThreadedRunner::new(2);
+        threaded.round_limit = limit;
+        assert_eq!(threaded.run(&prog, init()).map(|(f, _)| f), expect, "threaded, limit {limit}");
+
+        let em_expect = expect.clone().map_err(cgmio_core::EmError::from);
+        let mut cfg = EmConfig::from_requirements(v, 1, 2, 32, &req);
+        cfg.round_limit = limit;
+        let seq = SeqEmRunner::new(cfg.clone()).run(&prog, init()).map(|(f, _)| f);
+        assert_eq!(seq, em_expect, "seq EM, limit {limit}");
+        for p in [1, 2] {
+            cfg.p = p;
+            let par = ParEmRunner::new(cfg.clone()).run(&prog, init()).map(|(f, _)| f);
+            assert_eq!(par, em_expect, "par EM p={p}, limit {limit}");
+        }
+    }
 }
