@@ -25,13 +25,38 @@ pub use tv::{
 /// Owner of global index `g` under the block distribution of `n` items
 /// over `v` processors.
 pub(crate) fn owner(n: usize, v: usize, g: usize) -> usize {
-    let base = n / v;
-    let extra = n % v;
-    let boundary = extra * (base + 1);
-    if g < boundary {
-        g / (base + 1)
-    } else {
-        extra + (g - boundary) / base.max(1)
+    BlockOwner::new(n, v).of(g)
+}
+
+/// [`owner`] with the distribution's constants computed once, for
+/// loops that look up many owners under the same `(n, v)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockOwner {
+    /// Size of the first `extra` blocks (`⌊n/v⌋ + 1`).
+    big: usize,
+    /// Size of the remaining blocks (`⌊n/v⌋`, at least 1).
+    small: usize,
+    /// Number of big blocks (`n mod v`).
+    extra: usize,
+    /// First index of the first small block.
+    boundary: usize,
+}
+
+impl BlockOwner {
+    pub(crate) fn new(n: usize, v: usize) -> Self {
+        let base = n / v;
+        let extra = n % v;
+        Self { big: base + 1, small: base.max(1), extra, boundary: extra * (base + 1) }
+    }
+
+    /// Owner of global index `g`.
+    #[inline]
+    pub(crate) fn of(&self, g: usize) -> usize {
+        if g < self.boundary {
+            g / self.big
+        } else {
+            self.extra + (g - self.boundary) / self.small
+        }
     }
 }
 

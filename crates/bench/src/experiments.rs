@@ -409,7 +409,11 @@ pub fn fig5c() -> Table {
         &["problem", "n", "em_ops", "lambda", "ops_per_NlogvDB", "parallel_eff"],
     );
     let (v, d, bb) = (8usize, 2usize, 2048usize);
-    let per_block = bb / 24; // 3-word messages dominate
+    // A fixed normalisation unit of 24-byte items per block, the same for
+    // every row so the constants compare across problems and revisions.
+    // It is not any program's message size: those run from 8 bytes (list
+    // ranking) to 40 (Euler tour).
+    let per_block = bb / 24;
     let logv = (v as f64).log2();
     let norm = |n: usize, ops: u64| {
         let ndb = n as f64 / (d as f64 * per_block as f64);

@@ -23,6 +23,13 @@ pub enum Status {
 /// order. This source-indexed shape mirrors the simulation engine's
 /// message matrix, where the `(src, dst)` slot is a fixed disk region.
 ///
+/// Every runner guarantees that order — `DirectRunner`,
+/// `ThreadedRunner` and both EM runners, on every storage backend and
+/// at every pipeline depth — however the sender interleaves its
+/// destinations and however many blocks a message spans (tested in
+/// `tests/cross_runner.rs`). Programs may rely on it, e.g. to match
+/// replies to requests by position.
+///
 /// Storage is sparse: only sources that actually sent something occupy
 /// memory, so an inbox at `v = 10^6` with two senders costs two entries,
 /// not a million empty vectors. The dense-looking API (`from`, `iter`)

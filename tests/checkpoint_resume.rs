@@ -11,9 +11,10 @@
 
 use proptest::prelude::*;
 
+use cgmio_algos::graphs::{CgmListRank, ListRankState};
 use cgmio_core::{
-    measure_requirements, BackendSpec, CheckpointManifest, EmConfig, EmRunReport, ParEmRunner,
-    RunOutcome, SeqEmRunner,
+    measure_requirements, BackendSpec, Checkpoint, CheckpointManifest, EmConfig, EmRunReport,
+    ParEmRunner, RunOutcome, SeqEmRunner,
 };
 use cgmio_io::IoEngineOpts;
 use cgmio_model::demo::TokenRing;
@@ -29,10 +30,10 @@ fn config(prog: &TokenRing, v: usize, p: usize) -> EmConfig {
 }
 
 /// Check a resumed run against the uninterrupted reference.
-fn assert_same(
+fn assert_same<S: PartialEq + std::fmt::Debug>(
     tag: &str,
-    (finals, rep): &(Vec<Vec<u64>>, EmRunReport),
-    (want, want_rep): &(Vec<Vec<u64>>, EmRunReport),
+    (finals, rep): &(Vec<S>, EmRunReport),
+    (want, want_rep): &(Vec<S>, EmRunReport),
 ) {
     assert_eq!(finals, want, "{tag}: final states differ");
     assert_eq!(rep.io, want_rep.io, "{tag}: IoStats differ");
@@ -109,6 +110,85 @@ fn fault_and_retry_totals_appear_in_reports() {
     let (_, rep) = kill_and_resume(&prog, &fcfg, v, 1, Some(dir.path()));
     let f = rep.faults.expect("crash recovery rebuilds injectors, counts must be present");
     assert_eq!(rep.retries, f.read_transient + f.write_transient + f.torn_writes);
+}
+
+/// Where a list-ranking run starts: fresh, from a live checkpoint, or
+/// from a manifest on disk.
+enum Start<'a> {
+    Fresh(Vec<ListRankState>),
+    Live(Checkpoint),
+    Manifest(&'a CheckpointManifest),
+}
+
+/// Run [`CgmListRank`] from `start` on the runner `cfg.p` calls for:
+/// Algorithm 2 at p = 1, Algorithm 3 otherwise.
+fn list_rank(cfg: EmConfig, start: Start<'_>) -> RunOutcome<ListRankState> {
+    let prog = CgmListRank;
+    let res = match (cfg.p, start) {
+        (1, Start::Fresh(s)) => SeqEmRunner::new(cfg).run_until(&prog, s),
+        (1, Start::Live(c)) => SeqEmRunner::new(cfg).resume(&prog, c),
+        (1, Start::Manifest(m)) => SeqEmRunner::new(cfg).resume_from(&prog, m),
+        (_, Start::Fresh(s)) => ParEmRunner::new(cfg).run_until(&prog, s),
+        (_, Start::Live(c)) => ParEmRunner::new(cfg).resume(&prog, c),
+        (_, Start::Manifest(m)) => ParEmRunner::new(cfg).resume_from(&prog, m),
+    };
+    res.unwrap()
+}
+
+/// List ranking matches replies to requests by position, so a resumed
+/// reply or apply round must see exactly the inbox the interrupted run
+/// wrote. Halt after every superstep — request and reply parities
+/// alike — on both runners, resume in-process on memory and from the
+/// manifest on async drive files, and demand the uninterrupted run's
+/// finals, `IoStats` and breakdown.
+#[test]
+fn list_ranking_kill_resume_every_superstep() {
+    let (n, v) = (300usize, 4usize);
+    let (succ, _) = cgmio_data::random_list(n, 5);
+    let states = || -> Vec<ListRankState> {
+        cgmio_data::block_split(succ.clone(), v)
+            .into_iter()
+            .map(|b| (vec![n as u64], b, Vec::new()))
+            .collect()
+    };
+    let (_, _, req) = measure_requirements(&CgmListRank, states()).unwrap();
+    for p in [1usize, 2] {
+        let cfg = EmConfig::from_requirements(v, p, 2, 64, &req);
+        let want = list_rank(cfg.clone(), Start::Fresh(states())).expect_complete();
+        let lambda = want.1.costs.lambda();
+        assert!(lambda > 4, "p={p}: too few supersteps to cover both parities");
+        for halt in 0..lambda {
+            let tag = format!("p={p} halt={halt}");
+            let mut hcfg = cfg.clone();
+            hcfg.halt_after_superstep = Some(halt);
+            let ckpt = match list_rank(hcfg, Start::Fresh(states())) {
+                RunOutcome::Interrupted(c) => c,
+                RunOutcome::Complete { .. } => panic!("{tag}: run did not halt"),
+            };
+            assert_eq!(ckpt.manifest.superstep, halt, "{tag}");
+            let got = list_rank(cfg.clone(), Start::Live(ckpt)).expect_complete();
+            assert_same(&format!("{tag} mem"), &got, &want);
+
+            // Crash recovery: only the drive files and the manifest survive.
+            let dir = TempDir::new("cgmio-ckpt-listrank");
+            let mut fcfg = cfg.clone();
+            fcfg.backend = BackendSpec::AsyncFile {
+                dir: dir.path().join("drives"),
+                opts: IoEngineOpts::default(),
+            };
+            fcfg.checkpoint_dir = Some(dir.path().to_path_buf());
+            fcfg.halt_after_superstep = Some(halt);
+            match list_rank(fcfg.clone(), Start::Fresh(states())) {
+                RunOutcome::Interrupted(c) => drop(c),
+                RunOutcome::Complete { .. } => panic!("{tag}: file run did not halt"),
+            }
+            let manifest =
+                CheckpointManifest::load(&CheckpointManifest::path_in(dir.path())).unwrap();
+            fcfg.halt_after_superstep = None;
+            let got = list_rank(fcfg, Start::Manifest(&manifest)).expect_complete();
+            assert_same(&format!("{tag} async-file"), &got, &want);
+        }
+    }
 }
 
 proptest! {

@@ -6,10 +6,12 @@
 use cgmio_algos::geometry::{CgmConvexHull, CgmDominance, CgmIntervalStab, CgmUnionArea};
 use cgmio_algos::graphs::{CgmConnectivity, CgmEulerTour, CgmListRank};
 use cgmio_algos::{CgmPermute, CgmSort, CgmTranspose};
-use cgmio_core::{measure_requirements, EmConfig, ParEmRunner, SeqEmRunner};
+use cgmio_core::{measure_requirements, BackendSpec, EmConfig, ParEmRunner, SeqEmRunner};
 use cgmio_data as data;
+use cgmio_io::IoEngineOpts;
 use cgmio_model::demo::TokenRing;
-use cgmio_model::{CgmProgram, DirectRunner, ModelError, ThreadedRunner};
+use cgmio_model::{CgmProgram, DirectRunner, ModelError, RoundCtx, Status, ThreadedRunner};
+use cgmio_pdm::testutil::TempDir;
 
 /// Run `prog` on all four runners and demand identical final states
 /// and identical per-round communication costs (`DirectRunner`'s
@@ -230,6 +232,105 @@ fn round_limit_agrees_everywhere() {
             cfg.p = p;
             let par = ParEmRunner::new(cfg.clone()).run(&prog, init()).map(|(f, _)| f);
             assert_eq!(par, em_expect, "par EM p={p}, limit {limit}");
+        }
+    }
+}
+
+/// Sends `items` sequence-numbered words per round for `rounds` rounds,
+/// interleaving destinations irregularly, and logs every inbox in
+/// `incoming.iter_nonempty()` order.
+struct Interleave {
+    items: usize,
+    rounds: usize,
+}
+
+impl Interleave {
+    /// Destination of the `i`-th item `pid` sends in `round`.
+    fn dst(v: usize, pid: usize, round: usize, i: usize) -> usize {
+        (pid + round + i * i * 3 + i / 5) % v
+    }
+
+    fn word(pid: usize, round: usize, i: usize) -> u64 {
+        ((pid as u64) << 40) | ((round as u64) << 32) | i as u64
+    }
+
+    /// The log each processor must end with if every runner delivers
+    /// each `(src, dst)` message in send order.
+    fn expected(&self, v: usize) -> Vec<Vec<u64>> {
+        (0..v)
+            .map(|dst| {
+                let mut log = Vec::new();
+                for round in 0..self.rounds {
+                    for src in 0..v {
+                        log.extend(
+                            (0..self.items)
+                                .filter(|&i| Self::dst(v, src, round, i) == dst)
+                                .map(|i| Self::word(src, round, i)),
+                        );
+                    }
+                }
+                log
+            })
+            .collect()
+    }
+}
+
+impl CgmProgram for Interleave {
+    type Msg = u64;
+    type State = Vec<u64>;
+
+    fn round(&self, ctx: &mut RoundCtx<'_, u64>, log: &mut Vec<u64>) -> Status {
+        for (_, items) in ctx.incoming.iter_nonempty() {
+            log.extend_from_slice(items);
+        }
+        if ctx.round == self.rounds {
+            return Status::Done;
+        }
+        for i in 0..self.items {
+            ctx.push(Self::dst(ctx.v, ctx.pid, ctx.round, i), Self::word(ctx.pid, ctx.round, i));
+        }
+        Status::Continue
+    }
+}
+
+/// `Incoming::from(src)` is in send order on every runner, backend and
+/// pipeline depth, for messages spanning several blocks and senders
+/// that interleave their destinations.
+#[test]
+fn send_order_is_preserved_everywhere() {
+    let (v, bb) = (4usize, 64usize);
+    let prog = Interleave { items: 240, rounds: 3 };
+    let want = prog.expected(v);
+    let init = || vec![Vec::new(); v];
+
+    let (direct, _) = DirectRunner::default().run(&prog, init()).unwrap();
+    assert_eq!(direct, want, "direct");
+    let (threaded, _) = ThreadedRunner::new(2).run(&prog, init()).unwrap();
+    assert_eq!(threaded, want, "threaded");
+
+    let (_, _, req) = measure_requirements(&prog, init()).unwrap();
+    assert!(req.max_msg_items * 8 > 3 * bb, "messages must span several blocks");
+    let dir = TempDir::new("cgmio-send-order");
+    for p in [1usize, 2] {
+        for depth in [0usize, 2] {
+            for file in [false, true] {
+                let tag = format!("p={p} depth={depth} file={file}");
+                let mut cfg = EmConfig::from_requirements(v, p, 2, bb, &req);
+                cfg.pipeline_depth = depth;
+                if file {
+                    cfg.backend = BackendSpec::AsyncFile {
+                        dir: dir.path().join(format!("p{p}-d{depth}")),
+                        opts: IoEngineOpts::default(),
+                    };
+                }
+                let (got, _) = if p == 1 {
+                    SeqEmRunner::new(cfg).run(&prog, init())
+                } else {
+                    ParEmRunner::new(cfg).run(&prog, init())
+                }
+                .unwrap();
+                assert_eq!(got, want, "EM {tag}");
+            }
         }
     }
 }
