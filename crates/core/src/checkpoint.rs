@@ -19,9 +19,12 @@
 //! `tests/checkpoint_resume.rs`).
 //!
 //! The manifest is a versioned plain-text file, written atomically
-//! (temp file + rename) *after* the barrier flush, so a crash between
-//! superstep `r` and `r+1` always leaves a consistent pair (disks at
-//! barrier `r`, manifest at `r` or `r−1` — both resumable).
+//! (temp file + rename) *after* the barrier flush. A manifest resumes
+//! exactly only on disks still at its own barrier: contexts are
+//! overwritten in place during every superstep, so a manifest for
+//! barrier `r − 1` next to disks at barrier `r`, or disks caught in the
+//! middle of superstep `r + 1`, can resume to wrong finals without an
+//! error. Crash-consistent checkpoints are an open ROADMAP item.
 
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};
@@ -37,9 +40,11 @@ use crate::report::{EmRunReport, IoBreakdown};
 /// switched the per-worker length tables to compact encodings —
 /// run-length context lengths and sparse inbox rows — so a manifest
 /// stays kilobytes at `v = 10^6` instead of the dense `v × v` table
-/// that dominated `v1`. `v1` manifests are rejected (re-checkpoint from
-/// a fresh run).
-const MAGIC: &str = "cgmio-checkpoint v2";
+/// that dominated `v1`. `v3` dropped the `breakdown` line's fourth
+/// value, the final-readout op count, which no run has any more (and
+/// which was always 0 at a barrier). `v1` and `v2` manifests are
+/// rejected (re-checkpoint from a fresh run).
+const MAGIC: &str = "cgmio-checkpoint v3";
 
 /// Per-real-processor state captured at a superstep barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,11 +132,8 @@ impl CheckpointManifest {
             let _ = writeln!(s);
             let _ = writeln!(
                 s,
-                "breakdown {} {} {} {}",
-                w.breakdown.setup_ops,
-                w.breakdown.ctx_ops,
-                w.breakdown.msg_ops,
-                w.breakdown.readout_ops
+                "breakdown {} {} {}",
+                w.breakdown.setup_ops, w.breakdown.ctx_ops, w.breakdown.msg_ops
             );
             let _ = write!(s, "ctx_lens_rle");
             for (run, len) in &w.ctx_lens {
@@ -217,15 +219,10 @@ impl CheckpointManifest {
                 per_disk_blocks,
             };
             let bd = field("breakdown")?;
-            if bd.len() != 4 {
-                return Err(bad("breakdown needs 4 values"));
+            if bd.len() != 3 {
+                return Err(bad("breakdown needs 3 values"));
             }
-            let breakdown = IoBreakdown {
-                setup_ops: bd[0],
-                ctx_ops: bd[1],
-                msg_ops: bd[2],
-                readout_ops: bd[3],
-            };
+            let breakdown = IoBreakdown { setup_ops: bd[0], ctx_ops: bd[1], msg_ops: bd[2] };
             let pairs = |vals: Vec<u64>, key: &str| -> io::Result<Vec<(u64, u64)>> {
                 if !vals.len().is_multiple_of(2) {
                     return Err(bad(&format!("field `{key}` needs an even pair count")));
@@ -379,12 +376,7 @@ mod tests {
                         full_ops: 9,
                         per_disk_blocks: vec![21, 21],
                     },
-                    breakdown: IoBreakdown {
-                        setup_ops: 2,
-                        ctx_ops: 10,
-                        msg_ops: 8,
-                        readout_ops: 0,
-                    },
+                    breakdown: IoBreakdown { setup_ops: 2, ctx_ops: 10, msg_ops: 8 },
                     peak_mem: 512,
                 },
                 WorkerCheckpoint {
@@ -429,9 +421,17 @@ mod tests {
         // Corrupt a number.
         let garbled = text.replace("superstep 3", "superstep x");
         assert!(CheckpointManifest::from_text(&garbled).is_err());
-        // v1 manifests (dense tables) are not resumable under v2.
-        let v1 = text.replace("cgmio-checkpoint v2", "cgmio-checkpoint v1");
-        assert!(CheckpointManifest::from_text(&v1).is_err());
+        // v1 (dense tables) and v2 (four-value breakdown) manifests are
+        // not resumable under v3; both get the same typed error.
+        for old in ["cgmio-checkpoint v1", "cgmio-checkpoint v2"] {
+            let e = CheckpointManifest::from_text(&text.replace("cgmio-checkpoint v3", old))
+                .unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{old}");
+            assert!(e.to_string().contains("unsupported version header"), "{old}: {e}");
+        }
+        // A v2-shaped breakdown line under the v3 header is malformed.
+        let four = text.replace("breakdown 2 10 8", "breakdown 2 10 8 0");
+        assert!(CheckpointManifest::from_text(&four).is_err());
         // RLE/sparse fields must hold whole pairs.
         let odd = text.replace("ctx_lens_rle 1 16 1 0 1 24", "ctx_lens_rle 1 16 1");
         assert!(CheckpointManifest::from_text(&odd).is_err());

@@ -360,6 +360,16 @@ impl ContextStore {
         Ok(())
     }
 
+    /// Fail with [`EmError::CtxSlotOverflow`] if a context of `len`
+    /// encoded bytes would not fit slot `slot` — the check every
+    /// [`Self::write`] makes, for a state that is never written.
+    pub fn check_fits(&self, slot: usize, len: usize) -> Result<(), EmError> {
+        if len > self.cap_bytes {
+            return Err(EmError::CtxSlotOverflow { pid: slot, len, cap: self.cap_bytes });
+        }
+        Ok(())
+    }
+
     /// Write context `slot`. Uses `⌈len/B⌉` blocks in consecutive format
     /// (fully parallel via the FIFO scheduler).
     pub fn write(
@@ -368,13 +378,7 @@ impl ContextStore {
         slot: usize,
         bytes: &[u8],
     ) -> Result<(), EmError> {
-        if bytes.len() > self.cap_bytes {
-            return Err(EmError::CtxSlotOverflow {
-                pid: slot,
-                len: bytes.len(),
-                cap: self.cap_bytes,
-            });
-        }
+        self.check_fits(slot, bytes.len())?;
         let base = slot as u64 * self.slot_blocks;
         // Gather write straight from the caller's encoded buffer — the
         // chunks borrow `bytes`, so no per-block staging copies.

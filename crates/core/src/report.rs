@@ -18,13 +18,11 @@ pub struct IoBreakdown {
     pub ctx_ops: u64,
     /// Message matrix operations (steps (b)/(d)).
     pub msg_ops: u64,
-    /// Operations to read the final contexts back.
-    pub readout_ops: u64,
 }
 
 impl IoBreakdown {
     /// Operations charged to the algorithm proper (excluding input
-    /// distribution and final readout).
+    /// distribution).
     pub fn algorithm_ops(&self) -> u64 {
         self.ctx_ops + self.msg_ops
     }
@@ -51,8 +49,8 @@ pub struct EmRunReport {
     pub peak_mem_bytes: usize,
     /// Items that crossed a real-processor boundary (0 for Algorithm 2).
     pub cross_thread_items: u64,
-    /// Wall-clock time of the whole run: input distribution, superstep
-    /// loop and final readout.
+    /// Wall-clock time of the whole run: input distribution and the
+    /// superstep loop.
     pub wall: Duration,
     /// Physical I/O event trace, when the run used a
     /// `BackendSpec::Concurrent` backend with `opts.trace` set (empty
@@ -117,7 +115,7 @@ mod tests {
         EmRunReport {
             costs: CommCosts::default(),
             io: IoStats::new(2),
-            breakdown: IoBreakdown { setup_ops: 10, ctx_ops: 30, msg_ops: 50, readout_ops: 5 },
+            breakdown: IoBreakdown { setup_ops: 10, ctx_ops: 30, msg_ops: 50 },
             geometry: DiskGeometry::new(2, 100),
             p: 2,
             v: 8,
@@ -132,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn algorithm_ops_excludes_setup_and_readout() {
+    fn algorithm_ops_excludes_setup() {
         let r = report();
         assert_eq!(r.breakdown.algorithm_ops(), 80);
         assert_eq!(r.io_ops_per_proc(), 40.0);

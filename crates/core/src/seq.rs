@@ -445,7 +445,6 @@ mod tests {
             Phase::Rounds,
             Phase::MatrixWrite,
             Phase::Barrier,
-            Phase::Readout,
         ] {
             assert!(phases.contains(&ph), "missing {ph} span");
         }

@@ -37,16 +37,14 @@ pub enum Phase {
     Barrier = 7,
     /// Writing a checkpoint manifest.
     Checkpoint = 8,
-    /// Final result readout.
-    Readout = 9,
     /// Auto-tuner decision at a barrier (reading windowed metric
     /// deltas, choosing the next superstep's pipeline depth/prefetch).
-    Tune = 10,
+    Tune = 9,
 }
 
 impl Phase {
     /// All phases in declaration order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 10] = [
         Phase::None,
         Phase::Setup,
         Phase::CtxLoad,
@@ -56,7 +54,6 @@ impl Phase {
         Phase::MatrixWrite,
         Phase::Barrier,
         Phase::Checkpoint,
-        Phase::Readout,
         Phase::Tune,
     ];
 
@@ -72,7 +69,6 @@ impl Phase {
             Phase::MatrixWrite => "matrix_write",
             Phase::Barrier => "barrier",
             Phase::Checkpoint => "checkpoint",
-            Phase::Readout => "readout",
             Phase::Tune => "tune",
         }
     }

@@ -89,7 +89,6 @@ pub fn report_to_json(rep: &EmRunReport, finals_hash: u64) -> Value {
         ("io_blocks".into(), Value::num(rep.io.total_blocks())),
         ("algorithm_ops".into(), Value::num(rep.breakdown.algorithm_ops())),
         ("setup_ops".into(), Value::num(rep.breakdown.setup_ops)),
-        ("readout_ops".into(), Value::num(rep.breakdown.readout_ops)),
         ("parallel_efficiency".into(), Value::num(rep.io.parallel_efficiency())),
         ("peak_mem_bytes".into(), Value::num(rep.peak_mem_bytes)),
         ("wall_us".into(), Value::num(rep.wall.as_micros())),

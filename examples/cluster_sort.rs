@@ -59,11 +59,8 @@ fn main() {
     let cfg = config_for(&prog, mk(), v, 1, 4, 4096);
     let (_, rep) = SeqEmRunner::new(cfg).run(&prog, mk()).unwrap();
     println!(
-        "\nbreakdown (p=1, D=4): setup {} | contexts {} | messages {} | readout {}",
-        rep.breakdown.setup_ops,
-        rep.breakdown.ctx_ops,
-        rep.breakdown.msg_ops,
-        rep.breakdown.readout_ops
+        "\nbreakdown (p=1, D=4): setup {} | contexts {} | messages {}",
+        rep.breakdown.setup_ops, rep.breakdown.ctx_ops, rep.breakdown.msg_ops
     );
 }
 
